@@ -2,8 +2,8 @@
 //!
 //! The evaluation harness of Garfield-rs: one entry point per table and
 //! figure of the paper's evaluation (§6 and the appendix), shared between the
-//! `expfig` binary (which prints the rows the paper reports and writes CSV
-//! files under `results/`) and the Criterion micro-benchmarks.
+//! `expfig` binary, which prints the rows the paper reports and writes CSV
+//! files under `results/`.
 //!
 //! The convergence and attack experiments (Figs. 4, 5, 11, 12, Table 2) run
 //! the real training stack on scaled-down settings; the throughput sweeps over

@@ -40,7 +40,7 @@
 
 use crate::report::Row;
 use garfield_aggregation::{build_gar, Engine, GarKind};
-use garfield_core::{Deployment, Executor, ExperimentConfig, SimExecutor, SystemKind};
+use garfield_core::{Controller, Deployment, ExperimentConfig, SystemKind};
 use garfield_obs::{metrics, Histogram, HistogramSnapshot};
 use garfield_runtime::LiveExecutor;
 use garfield_tensor::{GradientView, Tensor, TensorRng};
@@ -157,7 +157,7 @@ pub fn measure(iterations: usize) -> garfield_core::CoreResult<Vec<RuntimePoint>
         SystemKind::Msmw,
         SystemKind::Speculative,
     ] {
-        let sim_trace = SimExecutor::new(cfg.clone()).run(system)?;
+        let sim_trace = Controller::new(cfg.clone()).run(system)?;
         let mut live = LiveExecutor::new(cfg.clone());
         let before = hists.snapshot();
         let report = live.run_live(system)?;
@@ -192,7 +192,7 @@ pub fn measure(iterations: usize) -> garfield_core::CoreResult<Vec<RuntimePoint>
     let mut sharded_cfg = cfg.clone();
     sharded_cfg.gradient_gar = GarKind::Median;
     sharded_cfg.shards = 2;
-    let sim_trace = SimExecutor::new(sharded_cfg.clone()).run(SystemKind::Ssmw)?;
+    let sim_trace = Controller::new(sharded_cfg.clone()).run(SystemKind::Ssmw)?;
     let before = hists.snapshot();
     let report = LiveExecutor::new(sharded_cfg.clone()).run_live(SystemKind::Ssmw)?;
     let after = hists.snapshot();

@@ -1,7 +1,7 @@
 //! The crash-tolerant primary/backup baseline (§6.2).
 
-use crate::apps::maybe_evaluate;
-use crate::{CoreResult, Deployment, IterationTiming, SystemKind, TrainingTrace};
+use crate::apps::{gradient_step, maybe_evaluate};
+use crate::{CoreError, CoreResult, Deployment, IterationTiming, SystemKind, TrainingTrace};
 use garfield_aggregation::{build_gar, GarKind};
 
 /// The strawman crash-fault-tolerant protocol the paper compares against:
@@ -47,7 +47,8 @@ impl CrashTolerantApp {
     ///
     /// # Errors
     ///
-    /// Propagates configuration and runtime errors from the deployment.
+    /// Propagates configuration and runtime errors from the deployment, and
+    /// returns [`CoreError::Net`] when every replica is down.
     pub fn run(&mut self) -> CoreResult<TrainingTrace> {
         let config = self.deployment.config().clone();
         config.validate(SystemKind::CrashTolerant)?;
@@ -70,23 +71,23 @@ impl CrashTolerantApp {
                 if self.deployment.server_crashed(server) {
                     continue;
                 }
-                let round = self
-                    .deployment
-                    .gradient_round(server, iteration, quorum, nps)?;
-                let aggregated = self
-                    .deployment
-                    .server(server)
-                    .honest()
-                    .aggregate(average.as_ref(), &round.gradients)?;
-                self.deployment
-                    .server_mut(server)
-                    .honest_mut()
-                    .update_model(&aggregated)?;
+                let round = gradient_step(
+                    &mut self.deployment,
+                    server,
+                    iteration,
+                    quorum,
+                    nps,
+                    average.as_ref(),
+                )?;
                 if server == primary {
                     primary_round = Some(round);
                 }
             }
-            let round = primary_round.expect("the primary is live by construction");
+            let round = primary_round.ok_or_else(|| {
+                CoreError::Net(format!(
+                    "crash-tolerant: all {nps} server replicas are down at iteration {iteration}"
+                ))
+            })?;
 
             // Workers fetch the model from the primary only; the backups'
             // pulls are off the critical path. A primary change costs one
@@ -160,6 +161,19 @@ mod tests {
     }
 
     #[test]
+    fn losing_the_last_replica_is_an_error_naming_the_iteration() {
+        let mut cfg = config();
+        cfg.nps = 1;
+        let mut app = CrashTolerantApp::new(Deployment::new(cfg).unwrap()).with_primary_crash_at(1);
+        match app.run() {
+            Err(CoreError::Net(message)) => {
+                assert!(message.contains("iteration 1"), "{message}");
+            }
+            other => panic!("expected a Net error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn crash_tolerant_fails_to_learn_under_a_byzantine_attack() {
         // The paper's Fig. 5: crash tolerance is not Byzantine resilience.
         let mut cfg = config();
@@ -180,9 +194,7 @@ mod tests {
         let crash = CrashTolerantApp::new(Deployment::new(cfg.clone()).unwrap())
             .run()
             .unwrap();
-        let ssmw = crate::apps::SsmwApp::new(Deployment::new(cfg).unwrap())
-            .run()
-            .unwrap();
+        let ssmw = crate::run_system(&cfg, SystemKind::Ssmw).unwrap();
         assert!(crash.mean_timing().communication > ssmw.mean_timing().communication);
     }
 }

@@ -1,6 +1,6 @@
 //! MSMW — Multiple Servers, Multiple Workers (§5.2, Listing 2).
 
-use crate::apps::maybe_evaluate;
+use crate::apps::{gradient_step, maybe_evaluate};
 use crate::{AlignmentSample, CoreResult, Deployment, IterationTiming, SystemKind, TrainingTrace};
 use garfield_aggregation::build_gar;
 
@@ -68,19 +68,15 @@ impl MsmwApp {
             // parallel" (before any of them serves its new model), matching
             // the real deployment.
             for server in 0..honest_servers {
-                // gradients = ps.get_gradients(i, q); aggr = gar(gradients)
-                let round =
-                    self.deployment
-                        .gradient_round(server, iteration, gradient_quorum, nps)?;
-                let aggregated = self
-                    .deployment
-                    .server(server)
-                    .honest()
-                    .aggregate(gradient_gar.as_ref(), &round.gradients)?;
-                self.deployment
-                    .server_mut(server)
-                    .honest_mut()
-                    .update_model(&aggregated)?;
+                // gradients = ps.get_gradients(i, q); update_model(gar(gradients))
+                let round = gradient_step(
+                    &mut self.deployment,
+                    server,
+                    iteration,
+                    gradient_quorum,
+                    nps,
+                    gradient_gar.as_ref(),
+                )?;
 
                 if server == 0 {
                     observer_timing = IterationTiming {
@@ -193,9 +189,7 @@ mod tests {
         let msmw = MsmwApp::new(Deployment::new(cfg.clone()).unwrap())
             .run()
             .unwrap();
-        let ssmw = crate::apps::SsmwApp::new(Deployment::new(cfg).unwrap())
-            .run()
-            .unwrap();
+        let ssmw = crate::run_system(&cfg, SystemKind::Ssmw).unwrap();
         assert!(msmw.mean_timing().communication > ssmw.mean_timing().communication);
     }
 

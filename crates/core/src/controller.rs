@@ -4,11 +4,13 @@
 //! node over SSH and passes the experiment parameters along. Here the cluster
 //! is simulated, so the controller's job reduces to validating a
 //! configuration, instantiating the corresponding [`Deployment`] and running
-//! the requested [`SystemKind`]'s training loop.
+//! the requested [`SystemKind`]'s training loop. The controller is also the
+//! **sim** [`Executor`]: real math, simulated time.
 
-use crate::{CoreResult, Deployment, ExperimentConfig, SystemKind, TrainingTrace};
+use crate::{CoreResult, Deployment, Executor, ExperimentConfig, SystemKind, TrainingTrace};
 
-/// Builds and runs Garfield experiments from configurations.
+/// Builds and runs Garfield experiments from configurations; the analytic,
+/// single-threaded [`Executor`] (`"sim"`).
 #[derive(Debug, Clone)]
 pub struct Controller {
     config: ExperimentConfig,
@@ -57,6 +59,16 @@ impl Controller {
             .iter()
             .map(|&system| self.run(system).map(|trace| (system, trace)))
             .collect()
+    }
+}
+
+impl Executor for Controller {
+    fn name(&self) -> &'static str {
+        "sim"
+    }
+
+    fn run(&mut self, system: SystemKind) -> CoreResult<TrainingTrace> {
+        Controller::run(self, system)
     }
 }
 

@@ -4,7 +4,7 @@
 //! object (workers, servers, attacks, GARs) but differ in *how iterations
 //! execute*:
 //!
-//! * the **sim** executor ([`SimExecutor`]) drives every node sequentially
+//! * the **sim** executor (the [`Controller`](crate::Controller)) drives every node sequentially
 //!   from one thread and charges an analytic
 //!   [`CostModel`](garfield_net::CostModel) for data movement — this is the
 //!   substrate behind the paper's throughput sweeps, where per-iteration
@@ -20,7 +20,7 @@
 //! (often via an [`ExecMode`] parsed from the command line), so the same
 //! experiment can be validated analytically and executed for real.
 
-use crate::{Controller, CoreError, CoreResult, ExperimentConfig, SystemKind, TrainingTrace};
+use crate::{CoreError, CoreResult, SystemKind, TrainingTrace};
 use std::str::FromStr;
 
 /// A substrate that can run a configured Garfield system to completion.
@@ -36,41 +36,10 @@ pub trait Executor {
     fn run(&mut self, system: SystemKind) -> CoreResult<TrainingTrace>;
 }
 
-/// The analytic, single-threaded executor (a thin wrapper over
-/// [`Controller`]): real math, simulated time.
-#[derive(Debug, Clone)]
-pub struct SimExecutor {
-    controller: Controller,
-}
-
-impl SimExecutor {
-    /// Creates a sim executor for the given configuration.
-    pub fn new(config: ExperimentConfig) -> Self {
-        SimExecutor {
-            controller: Controller::new(config),
-        }
-    }
-
-    /// The configuration this executor runs.
-    pub fn config(&self) -> &ExperimentConfig {
-        self.controller.config()
-    }
-}
-
-impl Executor for SimExecutor {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    fn run(&mut self, system: SystemKind) -> CoreResult<TrainingTrace> {
-        self.controller.run(system)
-    }
-}
-
 /// Which execution substrate to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecMode {
-    /// Sequential, cost-modelled execution ([`SimExecutor`]).
+    /// Sequential, cost-modelled execution ([`Controller`](crate::Controller)).
     Sim,
     /// Threaded execution over real messages (`garfield_runtime::LiveExecutor`).
     Live,
@@ -109,20 +78,6 @@ impl FromStr for ExecMode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sim_executor_matches_the_controller() {
-        let mut cfg = ExperimentConfig::small();
-        cfg.iterations = 4;
-        cfg.eval_every = 2;
-        let mut executor = SimExecutor::new(cfg.clone());
-        assert_eq!(executor.name(), "sim");
-        assert_eq!(executor.config().iterations, 4);
-        let trace = executor.run(SystemKind::Vanilla).unwrap();
-        let reference = Controller::new(cfg).run(SystemKind::Vanilla).unwrap();
-        assert_eq!(trace.iterations, reference.iterations);
-        assert_eq!(trace.accuracy, reference.accuracy);
-    }
 
     #[test]
     fn exec_mode_parses_and_prints() {

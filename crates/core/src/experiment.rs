@@ -9,7 +9,6 @@ use std::fmt::Write as _;
 
 /// The deployments evaluated in the paper (§5 and §6.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SystemKind {
     /// Vanilla parameter server with plain averaging (TensorFlow / PyTorch baseline).
     Vanilla,
@@ -81,7 +80,6 @@ impl std::str::FromStr for SystemKind {
 /// Defaults follow the paper's PyTorch setup (§6.1): 10 workers of which 3 may
 /// be Byzantine, 3 servers of which 1 may be Byzantine, batch size 100.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExperimentConfig {
     /// Trainable model name (see `garfield_ml::zoo::trainable_model`).
     pub model: String,

@@ -1,10 +1,10 @@
 //! Dependency-free JSON encoding for experiment artifacts.
 //!
 //! The build environment has no crates.io access, so traces are serialized
-//! with this minimal writer/parser instead of `serde_json`. The output shape
-//! matches what `#[derive(serde::Serialize)]` would produce for the same
-//! structs, so reports stay compatible if the gated `serde` feature is ever
-//! built with the real crates.
+//! with this minimal writer/parser instead of `serde_json`: it is the
+//! workspace's one serialization path. The output shape matches what
+//! `#[derive(serde::Serialize)]` would produce for the same structs, so the
+//! reports stay readable by `serde_json`-based tooling.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

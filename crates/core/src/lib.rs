@@ -56,7 +56,7 @@ pub use checkpoint::{Checkpoint, CheckpointPolicy};
 pub use controller::Controller;
 pub use deployment::{Deployment, GradientRound, LiveParts, ModelRound};
 pub use error::{CoreError, CoreResult};
-pub use executor::{ExecMode, Executor, SimExecutor};
+pub use executor::{ExecMode, Executor};
 pub use experiment::{ExperimentConfig, SystemKind};
 pub use server::{ByzantineServer, ParameterServer};
 pub use shard::{shard_server, ShardMap, ShardSliceModel, ShardSpec};

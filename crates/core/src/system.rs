@@ -1,16 +1,13 @@
 //! The one-place system registry.
 //!
-//! Everything that varies *by system* — which app drives a simulated run,
+//! Everything that varies *by system* — which loop drives a simulated run,
 //! which GAR a server builds on the gradient path, which systems the live
 //! runtime can host, and how a `--system` CLI argument reads — resolves
 //! through this module. Adding a system means extending the enums here (and
-//! writing its app); no other crate carries a `SystemKind` match for these
-//! decisions.
+//! giving it a loop if its topology is new); no other crate carries a
+//! `SystemKind` match for these decisions.
 
-use crate::apps::{
-    AggregaThorApp, CrashTolerantApp, DecentralizedApp, MsmwApp, SpeculativeApp, SsmwApp,
-    VanillaApp,
-};
+use crate::apps::{run_single_server, CrashTolerantApp, DecentralizedApp, MsmwApp};
 use crate::{CoreError, CoreResult, Deployment, ExperimentConfig, SystemKind, TrainingTrace};
 use garfield_aggregation::GarKind;
 use std::str::FromStr;
@@ -19,7 +16,9 @@ use std::str::FromStr;
 /// and returns its training trace.
 ///
 /// This is the single constructor the [`Controller`](crate::Controller) and
-/// every bench/example path resolve through.
+/// every bench/example path resolve through. The single-server systems
+/// (vanilla, SSMW, AggregaThor, speculative) share one loop; the replicated
+/// and peer-to-peer topologies keep their own.
 ///
 /// # Errors
 ///
@@ -29,15 +28,21 @@ pub fn run_system(config: &ExperimentConfig, system: SystemKind) -> CoreResult<T
     config.validate(system)?;
     let deploy = || Deployment::new(config.clone());
     match system {
-        SystemKind::Vanilla => VanillaApp::new(deploy()?).run(),
-        SystemKind::AggregaThor => AggregaThorApp::new(deploy()?).run(),
+        SystemKind::Vanilla
+        | SystemKind::Ssmw
+        | SystemKind::AggregaThor
+        | SystemKind::Speculative => run_single_server(&mut deploy()?, system),
         SystemKind::CrashTolerant => CrashTolerantApp::new(deploy()?).run(),
-        SystemKind::Ssmw => SsmwApp::new(deploy()?).run(),
         SystemKind::Msmw => MsmwApp::new(deploy()?).run(),
         SystemKind::Decentralized => DecentralizedApp::from_config(config.clone())?.run(),
-        SystemKind::Speculative => SpeculativeApp::new(deploy()?).run(),
     }
 }
+
+/// AggregaThor's communication-time factor relative to Garfield's SSMW: the
+/// older runtime's shared-graph design and serialization path add overhead
+/// to every pull (the paper's Fig. 4a / Fig. 8a show Garfield slightly ahead
+/// for those reasons).
+pub(crate) const AGGREGATHOR_COMM_OVERHEAD: f64 = 1.25;
 
 /// The GAR a server of `system` builds on its gradient path, with the `f` it
 /// must tolerate: the single source of truth shared by the simulated apps and

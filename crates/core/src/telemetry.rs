@@ -12,7 +12,6 @@ use garfield_net::{PeerCounters, Role};
 
 /// Simulated time spent in each phase of one training iteration, in seconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IterationTiming {
     /// Gradient-estimation time (the slowest worker whose reply was used).
     pub computation: f64,
@@ -47,7 +46,6 @@ impl IterationTiming {
 
 /// One accuracy evaluation point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccuracyPoint {
     /// Iteration at which the evaluation happened.
     pub iteration: usize,
@@ -61,7 +59,6 @@ pub struct AccuracyPoint {
 
 /// The full record of one training run.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrainingTrace {
     /// Name of the system that produced the trace (e.g. `"ssmw"`).
     pub system: String,

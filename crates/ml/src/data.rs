@@ -13,7 +13,6 @@ use garfield_tensor::{Shape, Tensor, TensorRng};
 
 /// The synthetic stand-ins for the paper's two datasets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DatasetKind {
     /// 28×28 single-channel images, 10 classes (MNIST-shaped).
     MnistLike,
@@ -53,7 +52,6 @@ impl DatasetKind {
 
 /// How a dataset is partitioned across workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ShardStrategy {
     /// Samples are shuffled and dealt round-robin: every worker sees every class.
     Iid,

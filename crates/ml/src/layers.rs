@@ -5,7 +5,6 @@ use garfield_tensor::{Initializer, Shape, Tensor, TensorRng};
 
 /// Element-wise activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Activation {
     /// Identity (no non-linearity); used by the output layer.
     Linear,

@@ -13,7 +13,6 @@ use garfield_tensor::TensorRng;
 
 /// One row of the paper's Table 1.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModelSpec {
     /// Model name as reported in the paper.
     pub name: &'static str,

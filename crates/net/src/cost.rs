@@ -12,7 +12,6 @@
 /// The GPU constants encode the roughly one-order-of-magnitude advantage the
 /// paper reports for GPU deployments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Device {
     /// A 2×10-core Xeon-class CPU node (the paper's CPU cluster).
     Cpu,
@@ -50,7 +49,6 @@ impl std::str::FromStr for Device {
 
 /// Link characteristics between two nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkProfile {
     /// One-way message latency in seconds.
     pub latency_s: f64,
@@ -93,7 +91,6 @@ impl LinkProfile {
 
 /// Calibrated analytic cost model for computation and communication.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CostModel {
     /// Seconds per (parameter × sample) of gradient computation on a CPU.
     pub cpu_grad_s_per_param_sample: f64,

@@ -81,7 +81,9 @@ fn handle(mut stream: TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(10)))?;
 
-    // Read until the request line is complete; 1 KiB is plenty for `GET /x`.
+    // Read the whole request head: closing the socket with request bytes
+    // unread makes the kernel reset the connection, which can destroy the
+    // response before the client reads it. 1 KiB is plenty for `GET /x`.
     let mut buf = [0u8; 1024];
     let mut len = 0;
     while len < buf.len() {
@@ -90,7 +92,7 @@ fn handle(mut stream: TcpStream) -> std::io::Result<()> {
             break;
         }
         len += n;
-        if buf[..len].windows(2).any(|w| w == b"\r\n") {
+        if buf[..len].windows(4).any(|w| w == b"\r\n\r\n") {
             break;
         }
     }

@@ -442,11 +442,15 @@ pub(crate) struct ServerActor {
     // Protocol state.
     round: usize,
     phase1_done: bool,
-    /// The model this replica serves to peers: snapshotted once per round,
-    /// right after the gradient update and before the model merge, so a
-    /// request for round `r` always observes the same post-update state no
-    /// matter when it arrives relative to this replica's own progress.
-    served_snapshot: Option<Tensor>,
+    /// The model this replica serves to peers, tagged by round: snapshotted
+    /// once per round, right after the gradient update and before the model
+    /// merge, so a request for round `r` always observes the same
+    /// post-update state no matter when it arrives relative to this
+    /// replica's own progress.
+    served_snapshot: Option<(usize, Tensor)>,
+    /// The snapshot before `served_snapshot`: a peer's request for round
+    /// `r − 1` can reach this replica after it finished phase 1 of `r`.
+    previous_snapshot: Option<(usize, Tensor)>,
     deferred_requests: Vec<(NodeId, u64)>,
     done_peers: HashSet<NodeId>,
     round_latencies: Vec<f64>,
@@ -518,6 +522,7 @@ impl ServerActor {
             round: 0,
             phase1_done: false,
             served_snapshot: None,
+            previous_snapshot: None,
             deferred_requests: Vec::new(),
             done_peers: HashSet::new(),
             round_latencies: Vec::new(),
@@ -1129,27 +1134,32 @@ impl ServerActor {
         Ok((adopted.round as usize).min(self.config.iterations))
     }
 
-    /// Recomputes the vector this replica serves to peers (corrupted if the
-    /// replica is Byzantine — by config attack inside
-    /// [`ByzantineServer::served_model`], by fault-plan attack here).
+    /// Recomputes the vector this replica serves to peers for the current
+    /// round (corrupted if the replica is Byzantine — by config attack inside
+    /// [`ByzantineServer::served_model`], by fault-plan attack here), keeping
+    /// the previous round's snapshot.
     fn refresh_served_snapshot(&mut self) {
         let served = self.server.served_model(&[]);
         let served = match &self.fault_attack {
             Some(attack) => attack.corrupt(&served, &[], &mut self.fault_rng),
             None => served,
         };
-        self.served_snapshot = Some(served);
+        self.previous_snapshot = self.served_snapshot.replace((self.round, served));
     }
 
-    /// Replies to a peer's `get_models()` with the snapshotted served model.
+    /// Replies to a peer's `get_models()` with the served model snapshotted
+    /// for the requested round.
     ///
-    /// Requests for rounds older than the snapshot (possible only in
+    /// Requests for rounds older than both snapshots (possible only in
     /// sub-quorum asynchronous regimes, where a replica can outrun a slow
-    /// peer) are answered with the latest snapshot — the freshest state the
-    /// replica can still offer.
+    /// peer by more than a round) are answered with the latest snapshot —
+    /// the freshest state the replica can still offer.
     fn serve_model(&mut self, to: NodeId, round: u64) {
-        let Some(model) = self.served_snapshot.clone() else {
-            return; // no completed phase 1 yet: the peer's deadline handles it
+        let model = match (&self.previous_snapshot, &self.served_snapshot) {
+            (Some((previous, model)), _) if *previous as u64 == round => model.clone(),
+            (_, Some((_, latest))) => latest.clone(),
+            // No completed phase 1 yet: the peer's deadline handles it.
+            (_, None) => return,
         };
         let reply = self.stamped(&WireMessage::new(
             MsgKind::ModelReply,
@@ -1344,6 +1354,60 @@ mod tests {
 
     fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_late_model_request_gets_the_snapshot_of_its_own_round() {
+        let mut cfg = ExperimentConfig::small();
+        cfg.nps = 3;
+        cfg.fps = 1;
+        let parts = Deployment::new(cfg.clone()).unwrap().into_live_parts();
+        let d = parts.dimension;
+        let node = ServerNode {
+            index: 0,
+            server: parts.servers.into_iter().next().unwrap(),
+            system: SystemKind::Msmw,
+            gradient_quorum: cfg.gradient_quorum(SystemKind::Msmw),
+            config: cfg,
+            worker_ids: Vec::new(),
+            peer_ids: vec![NodeId(1)],
+            shard: None,
+            shard_siblings: Vec::new(),
+            round_deadline: Duration::from_millis(200),
+            fault: None,
+            fault_rng: TensorRng::seed_from(7),
+            test_batch: None,
+            shutdown_targets: Vec::new(),
+            request_retry: Duration::from_millis(50),
+            checkpoint: None,
+            resume: None,
+        };
+        let router = Router::new();
+        let peer = RouterTransport::connect(&router, NodeId(1)).unwrap();
+        let transport = Box::new(RouterTransport::connect(&router, NodeId(0)).unwrap());
+        let mut actor = ServerActor::from_node(node, transport).unwrap();
+
+        // Phase 1 of rounds 4 and 5, each ending on a distinct model.
+        let model_of = |round: usize| Tensor::from_slice(&vec![round as f32; d]);
+        for round in [4, 5] {
+            actor.round = round;
+            actor
+                .server
+                .honest_mut()
+                .write_model(&model_of(round))
+                .unwrap();
+            actor.phase1_done = true;
+            actor.refresh_served_snapshot();
+        }
+
+        // A peer's get_models() for round 4 arriving only now must observe
+        // the post-update state of round 4, not the newer round 5.
+        actor.handle_protocol(NodeId(1), MsgKind::ModelRequest, 4);
+        let env = peer.recv_timeout(Duration::from_secs(5)).unwrap();
+        let reply = WireMessage::decode(&env.payload).unwrap();
+        assert_eq!(reply.kind, MsgKind::ModelReply);
+        assert_eq!(reply.round, 4);
+        assert_eq!(bits(&reply.values), bits(model_of(4).data()));
     }
 
     #[test]

@@ -4,8 +4,8 @@ use crate::fault::FaultPlan;
 use crate::node::{fault_rng_streams, NodeLayout, ServerNode, ServerRun, WorkerNode};
 use garfield_aggregation::PeerSuspicion;
 use garfield_core::{
-    shard_server, CoreError, CoreResult, Deployment, ExecMode, Executor, ExperimentConfig,
-    NodeTelemetry, RuntimeTelemetry, ShardMap, SimExecutor, SystemKind, TrainingTrace,
+    shard_server, Controller, CoreError, CoreResult, Deployment, ExecMode, Executor,
+    ExperimentConfig, NodeTelemetry, RuntimeTelemetry, ShardMap, SystemKind, TrainingTrace,
 };
 use garfield_net::{MsgKind, NodeId, Router, RouterTransport, Transport, WireMessage};
 use garfield_tensor::Tensor;
@@ -348,7 +348,7 @@ impl std::fmt::Debug for LiveExecutor {
 /// live path, behind one trait object so call sites stay substrate-agnostic.
 pub fn executor_for(mode: ExecMode, config: ExperimentConfig) -> Box<dyn Executor> {
     match mode {
-        ExecMode::Sim => Box::new(SimExecutor::new(config)),
+        ExecMode::Sim => Box::new(Controller::new(config)),
         ExecMode::Live => Box::new(LiveExecutor::new(config)),
     }
 }

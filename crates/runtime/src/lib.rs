@@ -13,7 +13,7 @@
 //! The workspace has two execution substrates behind the shared
 //! [`garfield_core::Executor`] trait:
 //!
-//! | | `sim` ([`garfield_core::SimExecutor`]) | `live` ([`LiveExecutor`]) |
+//! | | `sim` ([`garfield_core::Controller`]) | `live` ([`LiveExecutor`]) |
 //! |---|---|---|
 //! | Concurrency | one thread drives all nodes | one OS thread per node |
 //! | Communication | analytic `CostModel` charges | real router messages (bytes on the wire) |

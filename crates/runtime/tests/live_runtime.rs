@@ -1,7 +1,7 @@
 //! Integration tests of the threaded live runtime: liveness under faults,
 //! determinism of the aggregation path, and agreement with the sim executor.
 
-use garfield_core::{Executor, ExperimentConfig, SimExecutor, SystemKind};
+use garfield_core::{Controller, ExperimentConfig, SystemKind};
 use garfield_net::Role;
 use garfield_runtime::{executor_for, FaultPlan, LiveExecutor, LiveOptions};
 
@@ -179,7 +179,7 @@ fn fault_free_live_matches_sim_accuracy_on_every_system() {
     // the live substrate must reproduce the sim learning trajectory.
     for system in [SystemKind::Vanilla, SystemKind::Ssmw, SystemKind::Msmw] {
         let cfg = live_config();
-        let sim_trace = SimExecutor::new(cfg.clone()).run(system).unwrap();
+        let sim_trace = Controller::new(cfg.clone()).run(system).unwrap();
         let mut live = LiveExecutor::new(cfg);
         let report = live.run_live(system).unwrap();
         assert_eq!(report.trace.len(), sim_trace.len(), "{system}");

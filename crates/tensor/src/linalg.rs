@@ -151,8 +151,9 @@ pub fn squared_l2_distance_slices(a: &[f32], b: &[f32]) -> f32 {
 /// The retained scalar reference kernel: a single left-to-right pass.
 ///
 /// This is what `squared_l2_distance_slices` compiled to before the chunked
-/// rewrite. It is kept for the `kernels` criterion group (scalar vs chunked
-/// vs Gram) and as an independently-auditable reference in tests; production
+/// rewrite. It is kept as the reference `expfig perf` times the faster
+/// kernels against (scalar vs chunked vs blocked vs Gram) and as an
+/// independently-auditable reference in tests; production
 /// call sites all use the chunked kernel. Note the *values* differ from the
 /// chunked kernel by float non-associativity (within rounding error); the
 /// bit-exact reference for the chunked kernel is lane-ordered accumulation,

@@ -13,7 +13,6 @@ use std::fmt;
 /// assert_eq!(s.rank(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Shape {
     dims: Vec<usize>,
 }

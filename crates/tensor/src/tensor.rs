@@ -15,7 +15,6 @@ use std::fmt;
 /// assert!((g.norm() - (14.0f32).sqrt()).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,

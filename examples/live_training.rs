@@ -11,7 +11,7 @@
 //! is a length-prefixed byte message through the router. The telemetry block
 //! printed per system is the proof: nonzero per-node message/byte counts.
 
-use garfield::core::{ExecMode, Executor, SimExecutor, SystemKind};
+use garfield::core::{Controller, ExecMode, SystemKind};
 use garfield::runtime::{FaultPlan, LiveExecutor, LiveOptions};
 use garfield::{AttackKind, ExperimentConfig};
 use std::time::Duration;
@@ -75,7 +75,7 @@ fn main() {
     for system in [SystemKind::Vanilla, SystemKind::Ssmw, SystemKind::Msmw] {
         println!("-- {system} --");
         if run_sim {
-            let trace = SimExecutor::new(cfg.clone())
+            let trace = Controller::new(cfg.clone())
                 .run(system)
                 .expect("sim run failed");
             println!(

@@ -68,7 +68,7 @@ pub use garfield_aggregation::{build_gar, Gar, GarKind};
 pub use garfield_attacks::{Attack, AttackKind};
 pub use garfield_core::{
     Controller, CoreError, CoreResult, Deployment, ExecMode, Executor, ExperimentConfig,
-    SimExecutor, SystemKind, TrainingTrace,
+    SystemKind, TrainingTrace,
 };
 pub use garfield_ml::{Dataset, DatasetKind, Model, ShardStrategy};
 pub use garfield_net::Device;
