@@ -1,12 +1,12 @@
 //! Bulyan GAR (El Mhamdi et al., ICML 2018).
 
-use crate::engine::{bulyan_select_cached, COLUMN_TILE};
+use crate::engine::{bulyan_select_cached, SelectionNetwork};
 use crate::gar::{fill_distance_profile, fill_norm_profile};
 use crate::{
     validate_views, AggregationError, AggregationResult, DistanceCache, Engine, Gar,
     SelectionOutcome, SelectionScratch,
 };
-use garfield_tensor::{total_order_key_f32, total_order_unkey_f32, GradientView, Tensor};
+use garfield_tensor::{total_order_unkey_f32, GradientView, Tensor};
 
 /// Bulyan of Multi-Krum.
 ///
@@ -26,7 +26,8 @@ use garfield_tensor::{total_order_key_f32, total_order_unkey_f32, GradientView, 
 /// computed once (`O(n² d)`, thread-chunked) and each repeated-Krum round is
 /// an incremental score update over pre-sorted neighbour lists — the old
 /// implementation cloned the full candidate pool and re-ran Krum from raw
-/// tensors every round. Phase 2 is chunked across threads by coordinate.
+/// tensors every round. Phase 2 runs a pruned selection network 256
+/// coordinates at a time, chunked across threads by coordinate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bulyan {
     n: usize,
@@ -93,87 +94,61 @@ impl Bulyan {
     }
 
     /// Phase 2 over an already-selected set: per-coordinate trimmed average
-    /// around the selection set's median, chunked across threads by
-    /// coordinate range. Each chunk owns a private column buffer; every
-    /// coordinate is computed with the same scalar sequence on any engine.
+    /// around the selection set's median.
     ///
-    /// The column is processed on order-preserving integer keys
-    /// (`total_order_key_f32` — the workspace-wide total order, so a NaN
-    /// coordinate lands in the same trailing position here as in every other
-    /// GAR sort): one native `u32` sort gives the median at the middle index,
-    /// and because "the β values closest to the median" are always a
-    /// *contiguous window* of the sorted column, the trim is a β−1-step
-    /// two-pointer expansion around the median instead of a second selection
-    /// pass. Candidate distances `|v − m|` are non-negative (or NaN), so
-    /// comparing their raw bits IS the total order: NaN distances (from NaN
-    /// coordinates, or ∞−∞) lose every comparison until only they remain,
-    /// exactly where the old `sort_by(total_cmp)` reference placed them. Ties
-    /// pick the left (smaller-key) candidate — deterministic on every engine.
-    /// The sum accumulates in the expansion order, i.e. ascending `|v − m|`,
-    /// as the sort-based reference did.
-    ///
-    /// Coordinates are processed through an L2-resident transpose tile:
-    /// gathering a column straight from `sel` multi-megabyte inputs is `sel`
-    /// concurrent strided streams — more than the hardware prefetchers
-    /// track — so each input's tile segment is first copied sequentially
-    /// (prefetch-friendly) and the per-coordinate column then read
-    /// contiguously from the tile. Every per-coordinate result is a pure
-    /// function of the column *multiset*, so chunk/tile boundaries (which
-    /// differ across engines) cannot change the output bits.
+    /// The β values closest to the median are always a *contiguous window*
+    /// of the sorted column, so the trim is a β−1-step two-pointer expansion
+    /// around the median rank and only ranks within β−1 of it are ever read.
+    /// The [`SelectionNetwork`] is pruned to exactly those ranks; it runs
+    /// over `total_order_key_f32` keys, the workspace-wide total order, so a
+    /// NaN coordinate lands in the same trailing position here as in every
+    /// other GAR sort. Candidate distances `|v − m|` are non-negative (or
+    /// NaN), so comparing their raw bits IS the total order: NaN distances
+    /// (from NaN coordinates, or ∞−∞) lose every comparison until only they
+    /// remain. Ties pick the left (smaller-key) candidate, and the sum
+    /// accumulates in the expansion order, i.e. ascending `|v − m|`. Every
+    /// step is a function of the column's multiset, so the output bits do
+    /// not depend on the engine.
     fn trimmed_average(
         &self,
         inputs: &[GradientView<'_>],
         selected: &[usize],
         engine: &Engine,
     ) -> Tensor {
-        let d = inputs[0].len();
         let beta = self.trimmed_size();
         let sel = selected.len();
-        let mid = (sel - 1) / 2;
-        let mut out = vec![0.0f32; d];
-        engine.fill_chunks(&mut out, sel, |base, chunk| {
-            let mut tile: Vec<u32> = vec![0; sel * COLUMN_TILE];
-            let mut t0 = 0;
-            while t0 < chunk.len() {
-                let t_len = COLUMN_TILE.min(chunk.len() - t0);
-                for (si, &i) in selected.iter().enumerate() {
-                    let src = &inputs[i].data()[base + t0..base + t0 + t_len];
-                    for (t, &v) in src.iter().enumerate() {
-                        tile[t * sel + si] = total_order_key_f32(v);
+        let columns: Vec<GradientView<'_>> = selected.iter().map(|&i| inputs[i]).collect();
+        let network = SelectionNetwork::around_median(sel, beta - 1);
+        let mid = network.mid();
+        Tensor::from(network.fill_columns(&columns, engine, |rows, out| {
+            for (t, slot) in out.iter_mut().enumerate() {
+                let value = |rank: usize| total_order_unkey_f32(rows[rank][t]);
+                let m = value(mid);
+                let mut lo = mid;
+                let mut hi = mid;
+                let mut sum = m;
+                for _ in 1..beta {
+                    let l_bits = if lo > 0 {
+                        (value(lo - 1) - m).abs().to_bits()
+                    } else {
+                        u32::MAX
+                    };
+                    let r_bits = if hi + 1 < sel {
+                        (value(hi + 1) - m).abs().to_bits()
+                    } else {
+                        u32::MAX
+                    };
+                    if l_bits <= r_bits {
+                        lo -= 1;
+                        sum += value(lo);
+                    } else {
+                        hi += 1;
+                        sum += value(hi);
                     }
                 }
-                for (t, slot) in chunk[t0..t0 + t_len].iter_mut().enumerate() {
-                    let col = &mut tile[t * sel..t * sel + sel];
-                    col.sort_unstable();
-                    let m = total_order_unkey_f32(col[mid]);
-                    let mut lo = mid;
-                    let mut hi = mid;
-                    let mut sum = m;
-                    for _ in 1..beta {
-                        let l_bits = if lo > 0 {
-                            (total_order_unkey_f32(col[lo - 1]) - m).abs().to_bits()
-                        } else {
-                            u32::MAX
-                        };
-                        let r_bits = if hi + 1 < sel {
-                            (total_order_unkey_f32(col[hi + 1]) - m).abs().to_bits()
-                        } else {
-                            u32::MAX
-                        };
-                        if l_bits <= r_bits {
-                            lo -= 1;
-                            sum += total_order_unkey_f32(col[lo]);
-                        } else {
-                            hi += 1;
-                            sum += total_order_unkey_f32(col[hi]);
-                        }
-                    }
-                    *slot = sum / beta as f32;
-                }
-                t0 += t_len;
+                *slot = sum / beta as f32;
             }
-        });
-        Tensor::from(out)
+        }))
     }
 }
 

@@ -23,7 +23,7 @@
 use crossbeam::thread as cb_thread;
 use garfield_tensor::{
     accumulate_dot, accumulate_squared_l2, reduce_kernel_lanes, total_cmp_f32 as cmp_f32,
-    GradientView, KERNEL_LANES,
+    total_order_key_f32, GradientView, KERNEL_LANES,
 };
 use std::cmp::Ordering;
 use std::sync::OnceLock;
@@ -201,14 +201,142 @@ impl Default for Engine {
 /// `n(n−1)·d` floats of traffic, the blocked one `n·d` per thread.
 const DISTANCE_BLOCK_BUDGET_BYTES: usize = 1 << 18;
 
-/// Coordinates per transpose tile in the coordinate-wise kernels
-/// (Median, Bulyan phase 2). Gathering one coordinate straight from `n`
-/// multi-megabyte gradients is `n` concurrent strided streams — more than
-/// the hardware prefetchers track — so the kernels first copy each input's
-/// tile segment sequentially into an L2-resident `n × COLUMN_TILE` scratch
-/// and then read per-coordinate columns contiguously. 256 coordinates keeps
-/// the tile at `n · 1 KiB` (51 inputs → 51 KiB), well inside L2.
+/// Coordinates per tile in the coordinate-wise kernels (Median, Bulyan
+/// phase 2). Each input's tile segment is keyed into its own row of
+/// `COLUMN_TILE` lanes — a straight sequential copy per input, no transpose —
+/// and the [`SelectionNetwork`] then runs row against row, one lane per
+/// coordinate. A row is 1 KiB, so the `n`-row tile is `n` KiB (51 inputs →
+/// 51 KiB) and stays cache-resident while every comparator sweeps it.
 pub(crate) const COLUMN_TILE: usize = 256;
+
+/// One tile row: the [`total_order_key_f32`] keys of one input's
+/// `COLUMN_TILE` coordinates (or, after the network ran, of one rank).
+pub(crate) type KeyRow = [u32; COLUMN_TILE];
+
+/// A comparator network over `n` wires that leaves the order statistics of
+/// ranks `mid − radius ..= mid + radius` on their wires, where `mid =
+/// (n − 1) / 2` is the lower median.
+///
+/// It starts from Batcher's merge-exchange sort (Knuth, TAOCP 5.2.2,
+/// Algorithm M), which sorts any `n` with `O(n log² n)` comparators, and
+/// drops, walking backwards, every comparator neither of whose outputs
+/// reaches a kept wire. A comparator is the same `(min, max)` for every
+/// input, so applying the network is branch-free: each comparator is one
+/// pass over two [`KeyRow`]s, which LLVM vectorizes without target flags.
+/// The keys are a bijection of `total_cmp_f32`, and the `k`-th order
+/// statistic of a column depends only on its multiset, so the result is
+/// exactly what a `total_cmp_f32` sort of the column would hold at rank `k`.
+#[derive(Debug, Clone)]
+pub(crate) struct SelectionNetwork {
+    mid: usize,
+    comparators: Vec<(usize, usize)>,
+}
+
+impl SelectionNetwork {
+    /// The network for `n` wires keeping the ranks within `radius` of the
+    /// lower median (clamped to `0..n`).
+    pub(crate) fn around_median(n: usize, radius: usize) -> Self {
+        let mid = n.saturating_sub(1) / 2;
+        let kept = mid.saturating_sub(radius)..=mid + radius;
+        let mut live: Vec<bool> = (0..n).map(|wire| kept.contains(&wire)).collect();
+        let mut comparators: Vec<(usize, usize)> = merge_exchange(n)
+            .into_iter()
+            .rev()
+            .filter(|&(i, j)| {
+                let reaches = live[i] || live[j];
+                live[i] |= reaches;
+                live[j] |= reaches;
+                reaches
+            })
+            .collect();
+        comparators.reverse();
+        SelectionNetwork { mid, comparators }
+    }
+
+    /// The lower-median rank `(n − 1) / 2`.
+    pub(crate) fn mid(&self) -> usize {
+        self.mid
+    }
+
+    /// Number of comparators, i.e. `(min, max)` lane operations per
+    /// coordinate.
+    fn len(&self) -> usize {
+        self.comparators.len()
+    }
+
+    /// Runs the network on a tile: afterwards every kept row holds, in each
+    /// lane, that rank's order statistic of the lane's column.
+    fn apply(&self, rows: &mut [KeyRow]) {
+        for &(i, j) in &self.comparators {
+            let (low, high) = rows.split_at_mut(j);
+            for (a, b) in low[i].iter_mut().zip(high[0].iter_mut()) {
+                let (x, y) = (*a, *b);
+                *a = x.min(y);
+                *b = x.max(y);
+            }
+        }
+    }
+
+    /// Coordinate-wise fill over equal-length `columns`: tile by tile, keys
+    /// every input's segment into its row, applies the network and hands
+    /// the rows to `emit(rows, out)`, which writes the tile's `out.len()`
+    /// coordinates (lanes past `out.len()` hold stale keys). Chunked across
+    /// threads by coordinate range with [`len`](Self::len) as the work per
+    /// coordinate; each chunk owns its tile, and every coordinate is a
+    /// function of its column alone, so the output is engine-independent.
+    pub(crate) fn fill_columns<F>(
+        &self,
+        columns: &[GradientView<'_>],
+        engine: &Engine,
+        emit: F,
+    ) -> Vec<f32>
+    where
+        F: Fn(&[KeyRow], &mut [f32]) + Sync,
+    {
+        let mut out = vec![0.0f32; columns[0].len()];
+        engine.fill_chunks(&mut out, self.len(), |base, chunk| {
+            let mut rows = vec![[0u32; COLUMN_TILE]; columns.len()];
+            for (t, out_tile) in chunk.chunks_mut(COLUMN_TILE).enumerate() {
+                let start = base + t * COLUMN_TILE;
+                for (row, column) in rows.iter_mut().zip(columns) {
+                    let src = &column.data()[start..start + out_tile.len()];
+                    for (key, &v) in row.iter_mut().zip(src) {
+                        *key = total_order_key_f32(v);
+                    }
+                }
+                self.apply(&mut rows);
+                emit(&rows, out_tile);
+            }
+        });
+        out
+    }
+}
+
+/// Batcher's merge-exchange sorting network for `n` wires (Knuth, TAOCP
+/// 5.2.2, Algorithm M), as `(i, j)` pairs with `i < j`: wire `i` receives the
+/// minimum, wire `j` the maximum.
+fn merge_exchange(n: usize) -> Vec<(usize, usize)> {
+    let mut comparators = Vec::new();
+    if n < 2 {
+        return comparators;
+    }
+    let top = 1usize << (usize::BITS - 1 - (n - 1).leading_zeros());
+    let mut p = top;
+    while p > 0 {
+        let (mut q, mut r, mut d) = (top, 0, p);
+        loop {
+            comparators.extend((0..n - d).filter(|&i| i & p == r).map(|i| (i, i + d)));
+            if q == p {
+                break;
+            }
+            d = q - p;
+            q >>= 1;
+            r = p;
+        }
+        p >>= 1;
+    }
+    comparators
+}
 
 /// Block length (in elements) for a blocked pairwise fill over `n` inputs:
 /// a multiple of [`KERNEL_LANES`] (required for bit-identical blocking),
@@ -935,9 +1063,10 @@ mod tests {
     #[test]
     fn fan_out_requires_enough_work_per_thread() {
         let e = Engine::with_threads(8);
-        // Median-shaped fill at d = 10⁴ (10 000 coordinates × n = 15 scalar
-        // ops): far below a single thread's worth of work — stay sequential.
-        assert_eq!(e.threads_for(10_000, 15), 1);
+        // Median-shaped fill at d = 10⁴, n = 15 (10 000 coordinates × 49
+        // comparators): below two threads' worth of work — stay sequential.
+        assert_eq!(SelectionNetwork::around_median(15, 0).len(), 49);
+        assert_eq!(e.threads_for(10_000, 49), 1);
         // Distance fill at d = 10⁶ (105 pairs × 2·10⁶ ops): full fan-out.
         assert_eq!(e.threads_for(105, 2_000_000), 8);
         // Fan-out is capped by affordable work per thread, not just items.
@@ -964,6 +1093,59 @@ mod tests {
         Engine::with_threads(8).fill(&mut out, 1, |k| k * 2);
         assert_eq!(out, vec![0, 2, 4, 6, 8, 10, 12, 14]);
         Engine::with_threads(8).fill(&mut [] as &mut [usize], 1, |k| k);
+    }
+
+    #[test]
+    fn pruned_networks_select_every_kept_rank_on_all_zero_one_inputs() {
+        // 0-1 principle: a comparator network leaves rank r's order statistic
+        // on wire r for every input iff it does for every 0/1 input. Each
+        // lane of a tile carries one of the 2^n 0/1 vectors (bit w = wire w).
+        for n in 1..=16usize {
+            let inputs = 1usize << n;
+            for radius in 0..n {
+                let network = SelectionNetwork::around_median(n, radius);
+                let mid = network.mid();
+                assert_eq!(mid, (n - 1) / 2);
+                let kept = mid.saturating_sub(radius)..=(mid + radius).min(n - 1);
+                let mut rows = vec![[0u32; COLUMN_TILE]; n];
+                for base in (0..inputs).step_by(COLUMN_TILE) {
+                    let vector = |lane: usize| (base + lane) % inputs;
+                    for (w, row) in rows.iter_mut().enumerate() {
+                        for (lane, key) in row.iter_mut().enumerate() {
+                            *key = (vector(lane) >> w) as u32 & 1;
+                        }
+                    }
+                    network.apply(&mut rows);
+                    for r in kept.clone() {
+                        for (lane, &key) in rows[r].iter().enumerate() {
+                            let zeros = n - vector(lane).count_ones() as usize;
+                            assert_eq!(
+                                key,
+                                u32::from(r >= zeros),
+                                "n={n} radius={radius} rank {r} input {:#b}",
+                                vector(lane)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pruning_drops_comparators_that_cannot_reach_the_kept_ranks() {
+        for n in 1..=64usize {
+            let full = merge_exchange(n).len();
+            assert_eq!(SelectionNetwork::around_median(n, n).len(), full);
+            let median = SelectionNetwork::around_median(n, 0).len();
+            assert!(median <= full, "n={n}");
+            if n >= 5 {
+                assert!(median < full, "n={n}: nothing pruned");
+            }
+        }
+        // The known sizes of Batcher's merge-exchange network for n ≤ 8.
+        let sizes: Vec<usize> = (1..=8).map(|n| merge_exchange(n).len()).collect();
+        assert_eq!(sizes, [0, 1, 3, 5, 9, 12, 16, 19]);
     }
 
     #[test]

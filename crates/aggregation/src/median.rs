@@ -1,15 +1,19 @@
 //! Coordinate-wise Median GAR and the branchless 3-element ordering primitive.
 
+use crate::engine::SelectionNetwork;
 use crate::{validate_views, AggregationError, AggregationResult, Engine, Gar};
-use garfield_tensor::{GradientView, Tensor};
+use garfield_tensor::{total_order_unkey_f32, GradientView, Tensor};
 
 /// Orders three values without data-dependent branching.
 ///
 /// This mirrors the SIMT-friendly selection-instruction primitive of §4.3 of
 /// the paper: the three comparisons are converted to integers and combined
 /// arithmetically into the output indices, so a GPU warp executing it never
-/// diverges. On the CPU it is used as the building block of the small-`n`
-/// median path and is exercised directly by the micro-benchmarks.
+/// diverges. The CPU Median does not call it: it runs the same idea tile-wide
+/// as a [`SelectionNetwork`](crate::engine::SelectionNetwork) of `(min, max)`
+/// comparators over integer keys. Note that this primitive compares with
+/// float `>`, so unlike the Median GAR it does not order NaN or `±0` by
+/// `total_cmp_f32`.
 pub fn sort3_branchless(v: [f32; 3]) -> [f32; 3] {
     let c = [
         usize::from(v[0] > v[1]),
@@ -25,7 +29,9 @@ pub fn sort3_branchless(v: [f32; 3]) -> [f32; 3] {
 
 /// The coordinate-wise median GAR (Xie et al., referenced as [55] in the paper).
 ///
-/// Requires `n ≥ 2f + 1`. Complexity `O(n d)` in the best case.
+/// Requires `n ≥ 2f + 1`. Each coordinate costs the comparators of a pruned
+/// `O(n log² n)` selection network, run branch-free over 256 coordinates
+/// at a time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Median {
     n: usize,
@@ -74,62 +80,23 @@ impl Gar for Median {
     }
 }
 
-/// Coordinate-wise median of a non-empty, equal-length set of views, chunked
-/// across threads by coordinate range (each chunk owns private scratch;
-/// every coordinate runs the same scalar kernel on any engine).
+/// Coordinate-wise median (the lower median for even `n`) of a non-empty,
+/// equal-length set of views.
 ///
-/// Columns are gathered as [`total_order_key_f32`] integer keys and the
-/// median selected with native `u32` quickselect — the keying is a monotone
-/// bijection of the workspace's `total_cmp_f32` order, so the selected
-/// element (NaN placement included) is exactly what
-/// `median_inplace`/`select_nth_unstable_by(total_cmp_f32)` would return,
-/// without spending the whole coordinate budget on comparator calls.
-///
-/// Gathering goes through an L2-resident transpose tile of
-/// [`COLUMN_TILE`](crate::engine::COLUMN_TILE) coordinates: reading a column
-/// straight from `n` multi-megabyte inputs is `n` concurrent strided
-/// streams, so each input's tile segment is copied sequentially first and
-/// the column then read contiguously. The median is a pure function of the
-/// column multiset, so tile/chunk boundaries (which differ across engines)
-/// cannot change the output bits.
+/// Runs the tile-wide [`SelectionNetwork`] pruned to the median rank over
+/// [`total_order_key_f32`](garfield_tensor::total_order_key_f32) keys and
+/// reads the result back from row `mid`. The keying is a monotone bijection
+/// of the workspace's `total_cmp_f32` order, so every coordinate (NaN and
+/// ±0 placement included) is exactly what `median_inplace` returns for its
+/// column, on any engine and for any `n`.
 pub(crate) fn coordinate_wise_median_views(inputs: &[GradientView<'_>], engine: &Engine) -> Tensor {
-    use crate::engine::COLUMN_TILE;
-    use garfield_tensor::{total_order_key_f32, total_order_unkey_f32};
-    let d = inputs[0].len();
-    let n = inputs.len();
-    let mid = (n - 1) / 2;
-    let mut out = vec![0.0f32; d];
-    engine.fill_chunks(&mut out, n, |base, chunk| {
-        if n == 3 {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let coord = base + k;
-                *slot = sort3_branchless([
-                    inputs[0].data()[coord],
-                    inputs[1].data()[coord],
-                    inputs[2].data()[coord],
-                ])[1];
-            }
-            return;
+    let network = SelectionNetwork::around_median(inputs.len(), 0);
+    let mid = network.mid();
+    Tensor::from(network.fill_columns(inputs, engine, |rows, out| {
+        for (slot, &key) in out.iter_mut().zip(&rows[mid]) {
+            *slot = total_order_unkey_f32(key);
         }
-        let mut tile: Vec<u32> = vec![0; n * COLUMN_TILE];
-        let mut t0 = 0;
-        while t0 < chunk.len() {
-            let t_len = COLUMN_TILE.min(chunk.len() - t0);
-            for (i, input) in inputs.iter().enumerate() {
-                let src = &input.data()[base + t0..base + t0 + t_len];
-                for (t, &v) in src.iter().enumerate() {
-                    tile[t * n + i] = total_order_key_f32(v);
-                }
-            }
-            for (t, slot) in chunk[t0..t0 + t_len].iter_mut().enumerate() {
-                let col = &mut tile[t * n..t * n + n];
-                let (_, m, _) = col.select_nth_unstable(mid);
-                *slot = total_order_unkey_f32(*m);
-            }
-            t0 += t_len;
-        }
-    });
-    Tensor::from(out)
+    }))
 }
 
 #[cfg(test)]
@@ -206,6 +173,21 @@ mod tests {
             let max = col.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             assert!(v >= min && v <= max);
         }
+    }
+
+    #[test]
+    fn three_input_median_follows_the_total_order() {
+        // The MSMW model merge at nps = 3, fps = 1 is a 3-input Median; one
+        // Byzantine replica's NaN must not win the column, and -0.0 < +0.0.
+        let median = Median::new(3, 1).unwrap();
+        let inputs = vec![
+            Tensor::from_slice(&[1.0, 0.0]),
+            Tensor::from_slice(&[f32::NAN, -0.0]),
+            Tensor::from_slice(&[2.0, 1.0]),
+        ];
+        let out = median.aggregate(&inputs).unwrap();
+        assert_eq!(out.data()[0].to_bits(), 2.0f32.to_bits());
+        assert_eq!(out.data()[1].to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

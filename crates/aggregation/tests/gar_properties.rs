@@ -5,8 +5,10 @@
 //! within (or very near) the envelope of the honest inputs, no matter what
 //! the Byzantine vectors contain.
 
-use garfield_aggregation::{build_gar, GarKind};
-use garfield_tensor::{Tensor, TensorRng};
+use garfield_aggregation::{build_gar, Bulyan, Engine, Gar, GarKind, Median};
+use garfield_tensor::{
+    median_inplace, total_order_key_f32, total_order_unkey_f32, GradientView, Tensor, TensorRng,
+};
 use proptest::prelude::*;
 
 /// Generates a cluster of `honest` similar vectors plus `byz` adversarial ones.
@@ -206,5 +208,157 @@ proptest! {
         let mut expected = [a, b, c];
         expected.sort_by(|x, y| x.partial_cmp(y).unwrap());
         prop_assert_eq!(sorted, expected);
+    }
+}
+
+/// Values a Byzantine input may send: NaN of both signs (and a non-default
+/// payload), ±0, ±inf and subnormals of both signs.
+const HOSTILE: [f32; 9] = [
+    f32::NAN,
+    -f32::NAN,
+    f32::from_bits(0x7f80_0001),
+    0.0,
+    -0.0,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::from_bits(1),
+    -f32::MIN_POSITIVE / 4.0,
+];
+
+/// `n` deterministic pseudo-random inputs of length `d`: about one value in
+/// four from [`HOSTILE`], the rest from 64 finite values, so columns hold
+/// ties.
+fn hostile_inputs(n: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 16
+    };
+    (0..n)
+        .map(|_| {
+            (0..d)
+                .map(|_| {
+                    let r = next();
+                    if r % 4 == 0 {
+                        HOSTILE[(r / 4) as usize % HOSTILE.len()]
+                    } else {
+                        ((r % 64) as f32 - 32.0) / 8.0
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// A dimension past `offset`: below the 256-coordinate tile, across a few
+/// tiles, or — with `large` — about `2²⁰ / rows` coordinates, enough work
+/// that a parallel engine splits the coordinates into several chunks.
+fn dimension(rows: usize, offset: usize, large: bool) -> usize {
+    if large {
+        (1 << 20) / rows + offset
+    } else {
+        offset
+    }
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Bulyan's phase 2 on one column, the plain way: sort the keys, then grow
+/// the `beta`-window around the lower median towards the closer neighbour.
+fn trimmed_column_reference(column: &[f32], beta: usize) -> f32 {
+    let mut keys: Vec<u32> = column.iter().map(|&v| total_order_key_f32(v)).collect();
+    keys.sort_unstable();
+    let sorted: Vec<f32> = keys.into_iter().map(total_order_unkey_f32).collect();
+    let mid = (sorted.len() - 1) / 2;
+    let m = sorted[mid];
+    let (mut lo, mut hi, mut sum) = (mid, mid, m);
+    for _ in 1..beta {
+        let left = lo.checked_sub(1).map(|i| (sorted[i] - m).abs().to_bits());
+        let right = sorted.get(hi + 1).map(|v| (v - m).abs().to_bits());
+        if left.unwrap_or(u32::MAX) <= right.unwrap_or(u32::MAX) {
+            lo -= 1;
+            sum += sorted[lo];
+        } else {
+            hi += 1;
+            sum += sorted[hi];
+        }
+    }
+    sum / beta as f32
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn median_is_the_total_order_median_of_every_column_on_every_engine(
+        n in 1usize..=51,
+        offset in 1usize..=700,
+        large in prop_oneof![Just(false), Just(false), Just(true)],
+        seed in 0u64..100_000,
+        threads in 2usize..6,
+    ) {
+        let d = dimension(n, offset, large);
+        let data = hostile_inputs(n, d, seed);
+        let views: Vec<GradientView<'_>> = data.iter().map(|v| GradientView::new(v)).collect();
+        let expected: Vec<f32> = (0..d)
+            .map(|c| median_inplace(&mut data.iter().map(|v| v[c]).collect::<Vec<f32>>()))
+            .collect();
+        let median = Median::new(n, (n - 1) / 2).unwrap();
+        for engine in [Engine::sequential(), Engine::with_threads(threads)] {
+            let out = median.aggregate_views(&views, &engine).unwrap();
+            prop_assert_eq!(
+                bits(out.data()),
+                bits(&expected),
+                "n={} d={} on {} threads",
+                n,
+                d,
+                engine.threads()
+            );
+        }
+    }
+}
+
+proptest! {
+    // Fewer cases: every case also pays Bulyan's O(n² d) selection, three
+    // times, in an unoptimized test build.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn bulyan_matches_a_sorted_column_reference_on_every_engine(
+        n in 3usize..=51,
+        f_pick in 0usize..13,
+        offset in 1usize..=700,
+        large in prop_oneof![Just(false), Just(false), Just(true)],
+        seed in 0u64..100_000,
+        threads in 2usize..6,
+    ) {
+        let f = f_pick % ((n - 3) / 4 + 1);
+        let bulyan = Bulyan::new(n, f).unwrap();
+        let d = dimension(n, offset, large);
+        let data = hostile_inputs(n, d, seed);
+        let views: Vec<GradientView<'_>> = data.iter().map(|v| GradientView::new(v)).collect();
+        let selected = bulyan.select_indices_views(&views, &Engine::sequential()).unwrap();
+        let expected: Vec<f32> = (0..d)
+            .map(|c| {
+                let column: Vec<f32> = selected.iter().map(|&i| data[i][c]).collect();
+                trimmed_column_reference(&column, bulyan.trimmed_size())
+            })
+            .collect();
+        for engine in [Engine::sequential(), Engine::with_threads(threads)] {
+            let out = bulyan.aggregate_views(&views, &engine).unwrap();
+            prop_assert_eq!(
+                bits(out.data()),
+                bits(&expected),
+                "n={} f={} d={} on {} threads",
+                n,
+                f,
+                d,
+                engine.threads()
+            );
+        }
     }
 }

@@ -38,7 +38,8 @@ pub fn std_dev(values: &[f32]) -> f32 {
 }
 
 /// Median of a mutable slice, computed with the introselect-style
-/// `select_nth_unstable` kernel (the CPU path described in §4.3 of the paper).
+/// `select_nth_unstable` kernel under [`total_cmp_f32`]. The coordinate-wise
+/// Median GAR returns exactly this value for every column.
 ///
 /// The slice order is perturbed. For even-length slices the lower median is
 /// returned, matching the coordinate-wise Median GAR's behaviour.
@@ -60,10 +61,10 @@ pub fn median_inplace(values: &mut [f32]) -> f32 {
 ///
 /// The map is a bijection, so selecting the `k`-th key and mapping back with
 /// [`total_order_unkey_f32`] returns exactly the element that
-/// `select_nth_unstable_by(k, total_cmp_f32)` would — but the selection runs
-/// on branch-predictable integer compares instead of comparator calls, which
-/// is what makes the coordinate-wise Median/Bulyan trimmed-median kernels
-/// `O(n)`-per-coordinate in practice and not comparator-call-bound.
+/// `select_nth_unstable_by(k, total_cmp_f32)` would. The coordinate-wise
+/// Median and Bulyan kernels rely on this: they order these keys with plain
+/// integer `min`/`max` in a branch-free comparator network, many
+/// coordinates at a time, instead of calling a float comparator.
 #[inline]
 pub fn total_order_key_f32(x: f32) -> u32 {
     let b = x.to_bits();

@@ -98,8 +98,10 @@ fn discover_metrics_addr(log: &Path, deadline: Duration) -> String {
     let start = Instant::now();
     while start.elapsed() < deadline {
         let text = std::fs::read_to_string(log).unwrap_or_default();
+        // The line may be half-written: only an address followed by its
+        // `/metrics` suffix is complete.
         if let Some(rest) = text.split("metrics on http://").nth(1) {
-            if let Some(addr) = rest.split("/metrics").next() {
+            if let Some((addr, _)) = rest.split_once("/metrics") {
                 return addr.trim().to_string();
             }
         }
